@@ -407,7 +407,8 @@ impl Pipeline {
         let optimize = t0.elapsed();
         if opt_stats.cancelled && !best_effort {
             return Err(FlowError::Timeout(format!(
-                "optimization of {:?} abandoned after {} of {} cycles at the request deadline                  (re-run with best-effort to keep the best completed iterate)",
+                "optimization of {:?} abandoned after {} of {} cycles at the request deadline \
+                 (re-run with best-effort to keep the best completed iterate)",
                 netlist.name(),
                 opt_stats.cycles,
                 options.effort
@@ -728,6 +729,25 @@ mod tests {
         let nl = input::load_bench("rd53_f2").unwrap();
         let out = Pipeline::new(nl).effort(1).run().unwrap();
         assert_eq!(out.report.verify_seed, super::DEFAULT_VERIFY_SEED);
+    }
+
+    #[test]
+    fn run_cancelled_before_it_starts_times_out_with_exact_message() {
+        let err = Pipeline::from_str(InputFormat::Blif, SAMPLE_BLIF, "sample")
+            .unwrap()
+            .algorithm(Algorithm::RramCosts)
+            .effort(8)
+            .cancel(rms_core::CancelToken::expired())
+            .run()
+            .unwrap_err();
+        match err {
+            FlowError::Timeout(msg) => assert_eq!(
+                msg,
+                "optimization of \"sample\" abandoned after 0 of 8 cycles at the request \
+                 deadline (re-run with best-effort to keep the best completed iterate)"
+            ),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
     }
 
     #[test]

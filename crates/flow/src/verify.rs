@@ -29,7 +29,7 @@ use rms_logic::netlist::{Netlist, NetlistBuilder, Wire};
 use rms_logic::sim::random_patterns;
 use rms_logic::tt::MAX_VARS;
 use rms_rram::isa::Program;
-use rms_rram::machine::Machine;
+use rms_rram::machine::{block_words, Machine};
 use rms_sat::{
     check_netlist_vs_program_cancellable, check_netlists_limited, MiterError, MiterOutcome,
 };
@@ -207,48 +207,22 @@ pub(crate) fn verify_programs(
         return Ok(VerifyOutcome::Exhaustive);
     }
     if mode == VerifyMode::Sampled {
-        let mut machine = Machine::new();
-        for pattern in random_patterns(n, VERIFY_SAMPLE_WORDS, seed) {
-            let reference = netlist.simulate_words(&pattern);
-            for &(what, program) in programs {
-                let got = machine.run_words(program, &pattern).map_err(|e| {
-                    FlowError::Verification(format!("{what}: invalid program: {e}"))
-                })?;
-                if got != reference {
-                    let (o, lane) = first_word_diff(&got, &reference);
-                    return Ok(VerifyOutcome::Failed {
-                        what: format!(
-                            "{what} program differs from the netlist on output {o} (sampled)"
-                        ),
-                        counterexample: lane_bits(&pattern, lane),
-                    });
-                }
-            }
-        }
-        return Ok(VerifyOutcome::Sampled {
+        let failed = replay_tier(netlist, programs, VERIFY_SAMPLE_WORDS, seed, "sampled")?;
+        return Ok(failed.unwrap_or(VerifyOutcome::Sampled {
             words: VERIFY_SAMPLE_WORDS,
-        });
+        }));
     }
     // Word-parallel spot-check in front of the SAT tier: a buggy
     // program almost always differs on random words, which is far
     // cheaper to find by simulation than by refutation.
-    let mut machine = Machine::new();
-    for pattern in random_patterns(n, PRE_SAT_SPOT_WORDS, seed) {
-        let reference = netlist.simulate_words(&pattern);
-        for &(what, program) in programs {
-            let got = machine
-                .run_words(program, &pattern)
-                .map_err(|e| FlowError::Verification(format!("{what}: invalid program: {e}")))?;
-            if got != reference {
-                let (o, lane) = first_word_diff(&got, &reference);
-                return Ok(VerifyOutcome::Failed {
-                    what: format!(
-                        "{what} program differs from the netlist on output {o} (pre-SAT spot-check)"
-                    ),
-                    counterexample: lane_bits(&pattern, lane),
-                });
-            }
-        }
+    if let Some(failed) = replay_tier(
+        netlist,
+        programs,
+        PRE_SAT_SPOT_WORDS,
+        seed,
+        "pre-SAT spot-check",
+    )? {
+        return Ok(failed);
     }
     // SAT tier: refute a miter per program, under a conflict budget.
     let (mut conflicts, mut decisions) = (0u64, 0u64);
@@ -300,6 +274,94 @@ pub(crate) fn verify_programs(
         conflicts,
         decisions,
     })
+}
+
+/// Replays the programs on `words` seeded random pattern words against
+/// the netlist; a mismatch comes back as [`VerifyOutcome::Failed`] with
+/// `tier` in its description.
+fn replay_tier(
+    netlist: &Netlist,
+    programs: &[(&str, &Program)],
+    words: usize,
+    seed: u64,
+    tier: &str,
+) -> Result<Option<VerifyOutcome>, FlowError> {
+    let patterns = random_patterns(netlist.num_inputs(), words, seed);
+    Ok(
+        first_mismatch(netlist, programs, &patterns)?.map(|m| VerifyOutcome::Failed {
+            what: format!(
+                "{} program differs from the netlist on output {} ({tier})",
+                programs[m.program].0, m.output
+            ),
+            counterexample: lane_bits(&patterns[m.word], m.lane),
+        }),
+    )
+}
+
+/// Where a pattern replay first disagrees with the netlist.
+struct Mismatch {
+    /// Index into the program list.
+    program: usize,
+    output: usize,
+    /// Index into the pattern words.
+    word: usize,
+    lane: usize,
+}
+
+/// The first disagreement of any program with the netlist: the earliest
+/// pattern word, then program order, then the first output and lane.
+///
+/// Each program is validated once, the first time it runs, and replayed
+/// one block of [`block_words`] pattern words at a time against the
+/// netlist's simulation of that block, so only one block of outputs is
+/// held per program.
+fn first_mismatch(
+    netlist: &Netlist,
+    programs: &[(&str, &Program)],
+    patterns: &[Vec<u64>],
+) -> Result<Option<Mismatch>, FlowError> {
+    let block = programs
+        .iter()
+        .map(|(_, p)| block_words(p.num_regs))
+        .min()
+        .unwrap_or(1);
+    let mut valid = vec![None; programs.len()];
+    let mut machine = Machine::new();
+    for (b, words) in patterns.chunks(block).enumerate() {
+        let reference: Vec<Vec<u64>> = words.iter().map(|w| netlist.simulate_words(w)).collect();
+        let mut first: Option<Mismatch> = None;
+        for (pi, &(what, program)) in programs.iter().enumerate() {
+            // A later program only matters on words before the first
+            // mismatch found so far.
+            let limit = first.as_ref().map_or(words.len(), |m| m.word);
+            if limit == 0 {
+                break;
+            }
+            let program = match valid[pi] {
+                Some(p) => p,
+                None => *valid[pi].insert(program.validated().map_err(|e| {
+                    FlowError::Verification(format!("{what}: invalid program: {e}"))
+                })?),
+            };
+            let got = machine.run_patterns(program, &words[..limit]);
+            if let Some(word) = (0..limit).find(|&w| got[w] != reference[w]) {
+                let (output, lane) = first_word_diff(&got[word], &reference[word]);
+                first = Some(Mismatch {
+                    program: pi,
+                    output,
+                    word,
+                    lane,
+                });
+            }
+        }
+        if let Some(m) = first {
+            return Ok(Some(Mismatch {
+                word: b * block + m.word,
+                ..m
+            }));
+        }
+    }
+    Ok(None)
 }
 
 /// Checks two standalone circuits for functional equivalence under the
@@ -649,6 +711,145 @@ mod tests {
             check_netlists(&a, &b, VerifyMode::Auto, 1),
             Err(FlowError::Unsupported(_))
         ));
+    }
+
+    /// `program` with one output device cleared after the last step.
+    fn clear_output(program: &Program, output: usize) -> Program {
+        let mut p = program.clone();
+        let dst = p.outputs[output].1;
+        p.steps.push(vec![rms_rram::isa::MicroOp::False { dst }]);
+        p
+    }
+
+    /// 16 inputs; `f` is the AND of the first twelve, so clearing it shows
+    /// only on rare patterns.
+    fn rare_and() -> Netlist {
+        let mut b = NetlistBuilder::new("rare_and");
+        let ins: Vec<Wire> = (0..16).map(|i| b.input(format!("x{i}"))).collect();
+        let mut acc = ins[0];
+        for &w in &ins[1..12] {
+            acc = b.and(acc, w);
+        }
+        // A parity of 300 distinct three-input products, so the
+        // programs need many devices.
+        let mut g = b.xor(ins[0], ins[1]);
+        for (i, (x, y, z)) in (0..16)
+            .flat_map(|x| (x + 1..16).flat_map(move |y| (y + 1..16).map(move |z| (x, y, z))))
+            .take(300)
+            .enumerate()
+        {
+            let xy = b.and(ins[x], ins[y]);
+            let lit = if i % 2 == 0 {
+                ins[z]
+            } else {
+                ins[z].complement()
+            };
+            let t = b.and(xy, lit);
+            g = b.xor(g, t);
+        }
+        b.output("f", acc);
+        b.output("g", g);
+        b.build()
+    }
+
+    /// Every verification tier on programs with a cleared output device:
+    /// the reported program, output and counterexample are pinned.
+    #[test]
+    fn corrupted_programs_fail_with_pinned_reports() {
+        use rms_core::{Mig, Realization};
+        use rms_rram::compile::compile;
+        use rms_rram::plim::compile_plim;
+        let circuits = [
+            rms_logic::bench_suite::build("misex1").unwrap(),
+            rms_logic::bench_suite::build("clip").unwrap(),
+            rms_logic::bench_suite::build("cm163a").unwrap(),
+            rms_logic::bench_suite::synthetic("wide", 20, 6, 1500),
+            rare_and(),
+        ];
+        let mut got = Vec::new();
+        for nl in &circuits {
+            let mig = Mig::from_netlist(nl);
+            let maj = compile(&mig, Realization::Maj).program;
+            let imp = compile(&mig, Realization::Imp).program;
+            let plim = compile_plim(&mig).program;
+            let last = nl.num_outputs() - 1;
+            let (bad_maj, bad_imp) = (clear_output(&maj, last), clear_output(&imp, last / 2));
+            let bad_plim = clear_output(&plim, 0);
+            let cases: [(&str, [(&str, &Program); 2]); 4] = [
+                ("maj", [("array", &bad_maj), ("plim", &plim)]),
+                ("imp", [("array", &bad_imp), ("plim", &plim)]),
+                ("plim", [("array", &maj), ("plim", &bad_plim)]),
+                ("both", [("array", &bad_maj), ("plim", &bad_plim)]),
+            ];
+            // The rare failures of `rare_and` are out of the spot-check's
+            // reach, and its SAT miter is slow.
+            let modes: &[VerifyMode] = if nl.num_inputs() <= EXHAUSTIVE_VERIFY_VARS {
+                &[VerifyMode::Auto, VerifyMode::Sat]
+            } else if nl.name() == "rare_and" {
+                &[VerifyMode::Sampled]
+            } else {
+                &[VerifyMode::Sampled, VerifyMode::Sat]
+            };
+            for (label, programs) in &cases {
+                for &mode in modes {
+                    let outcome =
+                        verify_programs(nl, programs, mode, 7, &CancelToken::default()).unwrap();
+                    let line = match outcome {
+                        VerifyOutcome::Failed {
+                            what,
+                            counterexample,
+                        } => {
+                            let bits: String = counterexample
+                                .iter()
+                                .map(|&b| if b { '1' } else { '0' })
+                                .collect();
+                            format!("{} {label} {mode}: {what} @ {bits}", nl.name())
+                        }
+                        other => format!("{} {label} {mode}: {}", nl.name(), other.label()),
+                    };
+                    got.push(line);
+                }
+            }
+        }
+        let expected = [
+            "misex1 maj auto: array program differs from the netlist on output 6 @ 00001001",
+            "misex1 maj sat: array program differs from the netlist on output 6 (pre-SAT spot-check) @ 10101101",
+            "misex1 imp auto: array program differs from the netlist on output 3 @ 10000010",
+            "misex1 imp sat: array program differs from the netlist on output 3 (pre-SAT spot-check) @ 10101101",
+            "misex1 plim auto: plim program differs from the netlist on output 0 @ 00000110",
+            "misex1 plim sat: plim program differs from the netlist on output 0 (pre-SAT spot-check) @ 00100110",
+            "misex1 both auto: array program differs from the netlist on output 6 @ 00001001",
+            "misex1 both sat: array program differs from the netlist on output 6 (pre-SAT spot-check) @ 10101101",
+            "clip maj auto: array program differs from the netlist on output 4 @ 000010000",
+            "clip maj sat: array program differs from the netlist on output 4 (pre-SAT spot-check) @ 101110110",
+            "clip imp auto: array program differs from the netlist on output 2 @ 001000000",
+            "clip imp sat: array program differs from the netlist on output 2 (pre-SAT spot-check) @ 101110110",
+            "clip plim auto: plim program differs from the netlist on output 0 @ 100000000",
+            "clip plim sat: plim program differs from the netlist on output 0 (pre-SAT spot-check) @ 101110110",
+            "clip both auto: array program differs from the netlist on output 4 @ 000010000",
+            "clip both sat: array program differs from the netlist on output 4 (pre-SAT spot-check) @ 101110110",
+            "cm163a maj sampled: array program differs from the netlist on output 4 (sampled) @ 1011101100101010",
+            "cm163a maj sat: array program differs from the netlist on output 4 (pre-SAT spot-check) @ 1011101100101010",
+            "cm163a imp sampled: array program differs from the netlist on output 2 (sampled) @ 1001010011100000",
+            "cm163a imp sat: array program differs from the netlist on output 2 (pre-SAT spot-check) @ 1001010011100000",
+            "cm163a plim sampled: plim program differs from the netlist on output 0 (sampled) @ 1001010011100000",
+            "cm163a plim sat: plim program differs from the netlist on output 0 (pre-SAT spot-check) @ 1001010011100000",
+            "cm163a both sampled: array program differs from the netlist on output 4 (sampled) @ 1011101100101010",
+            "cm163a both sat: array program differs from the netlist on output 4 (pre-SAT spot-check) @ 1011101100101010",
+            "wide maj sampled: array program differs from the netlist on output 5 (sampled) @ 10010100111000001110",
+            "wide maj sat: array program differs from the netlist on output 5 (pre-SAT spot-check) @ 10010100111000001110",
+            "wide imp sampled: array program differs from the netlist on output 2 (sampled) @ 11000011000110101110",
+            "wide imp sat: array program differs from the netlist on output 2 (pre-SAT spot-check) @ 11000011000110101110",
+            "wide plim sampled: plim program differs from the netlist on output 0 (sampled) @ 10111011001010101100",
+            "wide plim sat: plim program differs from the netlist on output 0 (pre-SAT spot-check) @ 10111011001010101100",
+            "wide both sampled: array program differs from the netlist on output 5 (sampled) @ 10010100111000001110",
+            "wide both sat: array program differs from the netlist on output 5 (pre-SAT spot-check) @ 10010100111000001110",
+            "rare_and maj sampled: array program differs from the netlist on output 1 (sampled) @ 1001010011100000",
+            "rare_and imp sampled: array program differs from the netlist on output 0 (sampled) @ 1111111111111110",
+            "rare_and plim sampled: plim program differs from the netlist on output 0 (sampled) @ 1111111111111110",
+            "rare_and both sampled: array program differs from the netlist on output 1 (sampled) @ 1001010011100000",
+        ];
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -83,30 +83,6 @@ impl MicroOp {
             MicroOp::Maj { r, .. } => r,
         }
     }
-
-    /// The registers this op reads.
-    pub fn reads(&self) -> Vec<RegId> {
-        let mut v = Vec::new();
-        let mut add = |o: &Operand| {
-            if let Operand::Reg(r) = o {
-                v.push(*r);
-            }
-        };
-        match self {
-            MicroOp::False { .. } => {}
-            MicroOp::Load { src, .. } => add(src),
-            MicroOp::Imp { p, q } => {
-                add(p);
-                v.push(*q);
-            }
-            MicroOp::Maj { p, q, r } => {
-                add(p);
-                add(q);
-                v.push(*r);
-            }
-        }
-        v
-    }
 }
 
 impl fmt::Display for MicroOp {
@@ -199,44 +175,50 @@ impl Program {
         self.steps.len() as u64
     }
 
-    /// Checks structural well-formedness.
+    /// Checks structural well-formedness in one pass over the ops.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ProgramError`] found: intra-step write
-    /// conflicts, device indices out of range, or input indices out of
-    /// range.
+    /// Returns the first [`ProgramError`] found, scanning steps and ops in
+    /// order and, within one op, checking the written device's range,
+    /// then a write conflict with an earlier op of the same step, then
+    /// the range of every register operand, then the range of every
+    /// input operand; outputs are checked after all steps.
     pub fn validate(&self) -> Result<(), ProgramError> {
+        // `written_in[r]` is one past the index of the last step that
+        // wrote device `r` (0 = never), so a conflict costs one compare.
+        let mut written_in = vec![0usize; self.num_regs];
         for (si, step) in self.steps.iter().enumerate() {
-            let mut written: Vec<u32> = Vec::with_capacity(step.len());
             for op in step {
                 let d = op.dst();
-                if d.0 as usize >= self.num_regs {
+                let Some(stamp) = written_in.get_mut(d.0 as usize) else {
                     return Err(ProgramError::RegOutOfRange { step: si, reg: d });
-                }
-                if written.contains(&d.0) {
+                };
+                if *stamp == si + 1 {
                     return Err(ProgramError::WriteConflict { step: si, reg: d });
                 }
-                written.push(d.0);
-                for r in op.reads() {
-                    if r.0 as usize >= self.num_regs {
-                        return Err(ProgramError::RegOutOfRange { step: si, reg: r });
+                *stamp = si + 1;
+                // The written device is also read by IMP and MAJ, and
+                // is already in range; only `p`/`q`/`src` remain.
+                let sources = match *op {
+                    MicroOp::False { .. } => [None, None],
+                    MicroOp::Load { src, .. } => [Some(src), None],
+                    MicroOp::Imp { p, .. } => [Some(p), None],
+                    MicroOp::Maj { p, q, .. } => [Some(p), Some(q)],
+                };
+                for o in sources.into_iter().flatten() {
+                    if let Operand::Reg(r) = o {
+                        if r.0 as usize >= self.num_regs {
+                            return Err(ProgramError::RegOutOfRange { step: si, reg: r });
+                        }
                     }
                 }
-                let check_input = |o: &Operand| -> Option<usize> {
-                    match o {
-                        Operand::Input(i) if *i >= self.num_inputs => Some(*i),
-                        _ => None,
+                for o in sources.into_iter().flatten() {
+                    if let Operand::Input(input) = o {
+                        if input >= self.num_inputs {
+                            return Err(ProgramError::InputOutOfRange { step: si, input });
+                        }
                     }
-                };
-                let bad = match op {
-                    MicroOp::Load { src, .. } => check_input(src),
-                    MicroOp::Imp { p, .. } => check_input(p),
-                    MicroOp::Maj { p, q, .. } => check_input(p).or(check_input(q)),
-                    MicroOp::False { .. } => None,
-                };
-                if let Some(input) = bad {
-                    return Err(ProgramError::InputOutOfRange { step: si, input });
                 }
             }
         }
@@ -246,6 +228,18 @@ impl Program {
             }
         }
         Ok(())
+    }
+
+    /// Validates the program once and returns it as a [`ValidProgram`],
+    /// which the [machine](crate::machine::Machine) replays without
+    /// checking again.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ProgramError`] [`Program::validate`] finds.
+    pub fn validated(&self) -> Result<ValidProgram<'_>, ProgramError> {
+        self.validate()?;
+        Ok(ValidProgram(self))
     }
 
     /// Pretty-prints the program as a step-numbered listing.
@@ -267,6 +261,19 @@ impl Program {
             let _ = writeln!(s, "out {name} = {r}");
         }
         s
+    }
+}
+
+/// A [`Program`] that passed [`Program::validate`]. [`Program::validated`]
+/// is the only way to build one, so holding it proves the check ran.
+#[derive(Debug, Clone, Copy)]
+pub struct ValidProgram<'p>(&'p Program);
+
+impl std::ops::Deref for ValidProgram<'_> {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        self.0
     }
 }
 
@@ -344,6 +351,208 @@ mod tests {
     }
 
     #[test]
+    fn first_error_among_several_defects() {
+        use MicroOp::{False, Imp, Load, Maj};
+        use Operand::{Const, Input, Reg};
+        let r = RegId;
+        // (num_inputs, num_regs, steps, output registers, expected error)
+        type Case = (usize, usize, Vec<Step>, Vec<u32>, Result<(), ProgramError>);
+        let cases: Vec<Case> = vec![
+            // Destination range is checked before the source operand.
+            (
+                2,
+                2,
+                vec![vec![Load {
+                    dst: r(9),
+                    src: Input(7),
+                }]],
+                vec![0],
+                Err(ProgramError::RegOutOfRange { step: 0, reg: r(9) }),
+            ),
+            // A write conflict beats an out-of-range read in the same op.
+            (
+                2,
+                2,
+                vec![vec![
+                    Load {
+                        dst: r(0),
+                        src: Input(0),
+                    },
+                    Load {
+                        dst: r(0),
+                        src: Reg(r(9)),
+                    },
+                ]],
+                vec![0],
+                Err(ProgramError::WriteConflict { step: 0, reg: r(0) }),
+            ),
+            // An out-of-range read beats an out-of-range input in the
+            // same op, whatever the operand order.
+            (
+                2,
+                2,
+                vec![vec![Maj {
+                    p: Input(9),
+                    q: Reg(r(8)),
+                    r: r(0),
+                }]],
+                vec![0],
+                Err(ProgramError::RegOutOfRange { step: 0, reg: r(8) }),
+            ),
+            (
+                2,
+                2,
+                vec![vec![Maj {
+                    p: Reg(r(8)),
+                    q: Reg(r(9)),
+                    r: r(0),
+                }]],
+                vec![0],
+                Err(ProgramError::RegOutOfRange { step: 0, reg: r(8) }),
+            ),
+            (
+                2,
+                2,
+                vec![vec![Maj {
+                    p: Input(5),
+                    q: Input(6),
+                    r: r(1),
+                }]],
+                vec![0],
+                Err(ProgramError::InputOutOfRange { step: 0, input: 5 }),
+            ),
+            (
+                2,
+                2,
+                vec![vec![Maj {
+                    p: Const(true),
+                    q: Input(6),
+                    r: r(1),
+                }]],
+                vec![0],
+                Err(ProgramError::InputOutOfRange { step: 0, input: 6 }),
+            ),
+            // IMP: the written device is range-checked before `p`.
+            (
+                4,
+                2,
+                vec![vec![Imp {
+                    p: Reg(r(7)),
+                    q: r(5),
+                }]],
+                vec![0],
+                Err(ProgramError::RegOutOfRange { step: 0, reg: r(5) }),
+            ),
+            (
+                4,
+                2,
+                vec![vec![Imp {
+                    p: Reg(r(7)),
+                    q: r(1),
+                }]],
+                vec![0],
+                Err(ProgramError::RegOutOfRange { step: 0, reg: r(7) }),
+            ),
+            // Earlier ops win over later ops of the same step, earlier
+            // steps over later steps, and steps over outputs.
+            (
+                2,
+                2,
+                vec![
+                    vec![
+                        False { dst: r(0) },
+                        Load {
+                            dst: r(1),
+                            src: Input(3),
+                        },
+                        False { dst: r(8) },
+                    ],
+                    vec![False { dst: r(9) }],
+                ],
+                vec![9],
+                Err(ProgramError::InputOutOfRange { step: 0, input: 3 }),
+            ),
+            (
+                2,
+                3,
+                vec![
+                    vec![False { dst: r(0) }],
+                    vec![
+                        False { dst: r(1) },
+                        False { dst: r(0) },
+                        False { dst: r(1) },
+                        False { dst: r(0) },
+                        False { dst: r(7) },
+                    ],
+                ],
+                vec![5],
+                Err(ProgramError::WriteConflict { step: 1, reg: r(1) }),
+            ),
+            (
+                1,
+                1,
+                vec![vec![False { dst: r(0) }]],
+                vec![0, 4, 3],
+                Err(ProgramError::OutputOutOfRange { reg: r(4) }),
+            ),
+            // Rewriting a device in a later step is not a conflict, and a
+            // program without devices may still be well formed.
+            (
+                1,
+                2,
+                vec![
+                    vec![
+                        False { dst: r(0) },
+                        Load {
+                            dst: r(1),
+                            src: Input(0),
+                        },
+                    ],
+                    vec![
+                        Load {
+                            dst: r(0),
+                            src: Reg(r(1)),
+                        },
+                        Load {
+                            dst: r(1),
+                            src: Reg(r(0)),
+                        },
+                    ],
+                    vec![Imp {
+                        p: Reg(r(0)),
+                        q: r(1),
+                    }],
+                    vec![Maj {
+                        p: Reg(r(1)),
+                        q: Reg(r(0)),
+                        r: r(0),
+                    }],
+                ],
+                vec![0, 1],
+                Ok(()),
+            ),
+            (0, 0, vec![vec![], vec![]], vec![], Ok(())),
+            (
+                0,
+                0,
+                vec![vec![False { dst: r(0) }]],
+                vec![],
+                Err(ProgramError::RegOutOfRange { step: 0, reg: r(0) }),
+            ),
+        ];
+        for (i, (num_inputs, num_regs, steps, outs, expected)) in cases.into_iter().enumerate() {
+            let p = Program {
+                num_inputs,
+                num_regs,
+                steps,
+                outputs: outs.iter().map(|&o| (format!("o{o}"), r(o))).collect(),
+                model_rrams: 0,
+            };
+            assert_eq!(p.validate(), expected, "case {i}");
+        }
+    }
+
+    #[test]
     fn listing_contains_ops() {
         let l = tiny().listing();
         assert!(l.contains("r1 <- r0 IMP r1"), "{l}");
@@ -351,13 +560,17 @@ mod tests {
     }
 
     #[test]
-    fn op_reads_and_dst() {
+    fn op_dst() {
         let op = MicroOp::Maj {
             p: Operand::Reg(RegId(3)),
             q: Operand::Const(true),
             r: RegId(4),
         };
         assert_eq!(op.dst(), RegId(4));
-        assert_eq!(op.reads(), vec![RegId(3), RegId(4)]);
+        let op = MicroOp::Imp {
+            p: Operand::Reg(RegId(3)),
+            q: RegId(5),
+        };
+        assert_eq!(op.dst(), RegId(5));
     }
 }

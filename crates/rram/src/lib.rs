@@ -12,7 +12,8 @@
 //!   majority gates as ready-made programs,
 //! - [`mod@compile`] — the level-by-level MIG compiler of Sec. III-B with
 //!   device reuse, and
-//! - [`machine`] — a cycle-accurate, bit-parallel interpreter.
+//! - [`machine`] — a cycle-accurate, bit-parallel interpreter that
+//!   replays a once-validated program over blocks of pattern words.
 //!
 //! # Example
 //!
@@ -46,6 +47,6 @@ pub mod plim;
 
 pub use compile::{compile, CompiledCircuit};
 pub use device::{Drive, ImpGate, Rram};
-pub use isa::{MicroOp, Operand, Program, ProgramError, RegId};
+pub use isa::{MicroOp, Operand, Program, ProgramError, RegId, ValidProgram};
 pub use machine::{Machine, RunStats};
 pub use plim::{compile_plim, PlimCircuit};
