@@ -7,7 +7,7 @@
 //! | Tier | When | Guarantee |
 //! |---|---|---|
 //! | exhaustive | `n ≤ 14` inputs (under [`VerifyMode::Auto`]) | all `2^n` minterms simulated |
-//! | SAT proof | `n > 14`, or forced with [`VerifyMode::Sat`] | miter refuted by the `rms-sat` CDCL solver — a proof at any width |
+//! | SAT proof | `n > 14`, or forced with [`VerifyMode::Sat`] | one miter per job (source vs. every program) refuted by the `rms-sat` CDCL solver — a proof at any width |
 //! | sampled | explicit [`VerifyMode::Sampled`] opt-out only | 64 random 64-bit pattern words — evidence, not proof |
 //!
 //! Historically the pipeline silently degraded to sampling above the
@@ -16,9 +16,10 @@
 //! (`--verify sampled`) for quick smoke runs.
 //!
 //! Every failing tier reports a concrete counterexample input assignment
-//! in [`VerifyOutcome::Failed`] — the SAT model gives it for free, the
-//! exhaustive tier decodes the differing minterm, and the sampled tier
-//! extracts the differing bit lane.
+//! in [`VerifyOutcome::Failed`] — the SAT model gives it for free (and is
+//! replayed on each program to name the first one it tells apart from the
+//! netlist), the exhaustive tier decodes the differing minterm, and the
+//! sampled tier extracts the differing bit lane.
 //!
 //! [`check_netlists`] applies the same policy to two standalone circuits
 //! (the `rms verify` subcommand and the differential test harness).
@@ -30,9 +31,7 @@ use rms_logic::sim::random_patterns;
 use rms_logic::tt::MAX_VARS;
 use rms_rram::isa::Program;
 use rms_rram::machine::{block_words, Machine};
-use rms_sat::{
-    check_netlist_vs_program_cancellable, check_netlists_limited, MiterError, MiterOutcome,
-};
+use rms_sat::{check_netlist_vs_programs, check_netlists_limited, MiterError, MiterOutcome};
 
 /// Inputs wider than this use the SAT tier rather than exhaustive
 /// simulation (under [`VerifyMode::Auto`]).
@@ -49,8 +48,9 @@ pub const VERIFY_SAMPLE_WORDS: usize = 64;
 /// only fail fast, never claim equivalence.
 pub const PRE_SAT_SPOT_WORDS: usize = 4;
 
-/// Conflict budget per SAT miter. Every bundled benchmark proves well
-/// under this (the largest, `apex1`, needs ~17k conflicts), but
+/// Conflict budget of the SAT tier, per job: the source netlist and every
+/// compiled program share one miter, so this bounds the whole proof, not
+/// each program. Every bundled benchmark proves well under this, but
 /// user-supplied circuits can be adversarial for any SAT solver
 /// (a 32-input multiplier miter is exponentially hard), so the proof
 /// attempt is bounded: under [`VerifyMode::Auto`] an exhausted budget
@@ -224,56 +224,66 @@ pub(crate) fn verify_programs(
     )? {
         return Ok(failed);
     }
-    // SAT tier: refute a miter per program, under a conflict budget.
-    let (mut conflicts, mut decisions) = (0u64, 0u64);
+    // SAT tier: one miter for the whole job, under one conflict budget.
+    let (names, compiled): (Vec<&str>, Vec<&Program>) = programs.iter().copied().unzip();
+    let names = names.join(" and ");
+    match check_netlist_vs_programs(netlist, &compiled, Some(SAT_CONFLICT_BUDGET), cancel) {
+        Ok(Some(MiterOutcome::Equivalent {
+            conflicts,
+            decisions,
+        })) => Ok(VerifyOutcome::Proved {
+            conflicts,
+            decisions,
+        }),
+        Ok(Some(MiterOutcome::Counterexample { inputs })) => sat_failure(netlist, programs, inputs),
+        // `None` is also what a cancelled solver returns; the token
+        // tells the two apart.
+        Ok(None) if cancel.cancelled() => Err(FlowError::Timeout(format!(
+            "{names}: verification abandoned at the request deadline"
+        ))),
+        // Budget exhausted on an adversarial instance: degrade to
+        // sampling rather than hang (an explicit `--verify sat` would
+        // error out instead).
+        Ok(None) if mode == VerifyMode::Auto => {
+            verify_programs(netlist, programs, VerifyMode::Sampled, seed, cancel)
+        }
+        Ok(None) => Err(FlowError::Verification(format!(
+            "{names}: SAT proof gave up after {SAT_CONFLICT_BUDGET} conflicts; \
+             re-run with `--verify sampled` for a non-proof check"
+        ))),
+        Err(e) => Err(FlowError::Verification(format!("{names}: {e}"))),
+    }
+}
+
+/// Names the first program, in program order, on which the joint miter's
+/// model `inputs` really differs from the netlist. A model on which every
+/// program agrees is a solver or encoder bug: an error, never a pass.
+fn sat_failure(
+    netlist: &Netlist,
+    programs: &[(&str, &Program)],
+    inputs: Vec<bool>,
+) -> Result<VerifyOutcome, FlowError> {
+    let word: Vec<u64> = inputs
+        .iter()
+        .map(|&b| if b { u64::MAX } else { 0 })
+        .collect();
+    let reference = netlist.simulate_words(&word);
+    let mut machine = Machine::new();
     for &(what, program) in programs {
-        match check_netlist_vs_program_cancellable(
-            netlist,
-            program,
-            Some(SAT_CONFLICT_BUDGET),
-            cancel,
-        ) {
-            Ok(Some(MiterOutcome::Equivalent {
-                conflicts: c,
-                decisions: d,
-            })) => {
-                conflicts += c;
-                decisions += d;
-            }
-            Ok(Some(MiterOutcome::Counterexample { inputs })) => {
-                return Ok(VerifyOutcome::Failed {
-                    what: format!("{what} program differs from the netlist (SAT counterexample)"),
-                    counterexample: inputs,
-                });
-            }
-            Ok(None) if cancel.cancelled() => {
-                // `None` is also what a cancelled solver returns; the
-                // token tells the two apart.
-                return Err(FlowError::Timeout(format!(
-                    "{what}: verification abandoned at the request deadline"
-                )));
-            }
-            Ok(None) if mode == VerifyMode::Auto => {
-                // Budget exhausted on an adversarial instance: degrade
-                // to sampling rather than hang (an explicit
-                // `--verify sat` would error out instead).
-                return verify_programs(netlist, programs, VerifyMode::Sampled, seed, cancel);
-            }
-            Ok(None) => {
-                return Err(FlowError::Verification(format!(
-                    "{what}: SAT proof gave up after {SAT_CONFLICT_BUDGET} conflicts; \
-                     re-run with `--verify sampled` for a non-proof check"
-                )));
-            }
-            Err(e) => {
-                return Err(FlowError::Verification(format!("{what}: {e}")));
-            }
+        let got = machine
+            .run_words(program, &word)
+            .map_err(|e| FlowError::Verification(format!("{what}: invalid program: {e}")))?;
+        if got != reference {
+            return Ok(VerifyOutcome::Failed {
+                what: format!("{what} program differs from the netlist (SAT counterexample)"),
+                counterexample: inputs,
+            });
         }
     }
-    Ok(VerifyOutcome::Proved {
-        conflicts,
-        decisions,
-    })
+    Err(FlowError::Verification(format!(
+        "the SAT counterexample {} does not replay on any program (solver or encoder bug)",
+        format_assignment(netlist.input_names(), &inputs)
+    )))
 }
 
 /// Replays the programs on `words` seeded random pattern words against
@@ -850,6 +860,100 @@ mod tests {
             "rare_and both sampled: array program differs from the netlist on output 1 (sampled) @ 1001010011100000",
         ];
         assert_eq!(got, expected);
+    }
+
+    /// 18 inputs; `f` is the AND of all of them and `g` an OR of pairwise
+    /// products. With `f` stuck at false, the programs differ from this
+    /// netlist on one minterm in 2^18, out of the 4-word spot-check's
+    /// reach.
+    fn and_all(f_stuck_false: bool) -> Netlist {
+        let mut b = NetlistBuilder::new("and_all");
+        let ins: Vec<Wire> = (0..18).map(|i| b.input(format!("x{i}"))).collect();
+        let f = if f_stuck_false {
+            b.const0()
+        } else {
+            ins[1..].iter().fold(ins[0], |acc, &w| b.and(acc, w))
+        };
+        let mut g = b.const0();
+        for pair in ins.chunks(2) {
+            let p = b.and(pair[0], pair[1].complement());
+            g = b.or(g, p);
+        }
+        b.output("f", f);
+        b.output("g", g);
+        b.build()
+    }
+
+    /// The SAT tier's failure reports: the joint miter's model names the
+    /// first wrong program in program order, and it really tells that
+    /// program apart from the source.
+    #[test]
+    fn sat_tier_names_the_wrong_program() {
+        use rms_core::{Mig, Realization};
+        use rms_rram::compile::compile;
+        use rms_rram::plim::compile_plim;
+        let source = and_all(false);
+        let compiled = |nl: &Netlist| {
+            let mig = Mig::from_netlist(nl);
+            (
+                compile(&mig, Realization::Maj).program,
+                compile_plim(&mig).program,
+            )
+        };
+        let (array, plim) = compiled(&source);
+        let (bad_array, bad_plim) = compiled(&and_all(true));
+        let cases: [([(&str, &Program); 2], &str); 3] = [
+            ([("array", &bad_array), ("plim", &plim)], "array"),
+            ([("array", &array), ("plim", &bad_plim)], "plim"),
+            ([("array", &bad_array), ("plim", &bad_plim)], "array"),
+        ];
+        for (programs, wrong) in &cases {
+            for mode in [VerifyMode::Auto, VerifyMode::Sat] {
+                let outcome =
+                    verify_programs(&source, programs, mode, 7, &CancelToken::default()).unwrap();
+                let VerifyOutcome::Failed {
+                    what,
+                    counterexample,
+                } = outcome
+                else {
+                    panic!("{wrong} {mode}: expected a failure, got {outcome:?}");
+                };
+                assert_eq!(
+                    what,
+                    format!("{wrong} program differs from the netlist (SAT counterexample)")
+                );
+                assert!(counterexample.iter().all(|&b| b), "{counterexample:?}");
+                let program = programs.iter().find(|(w, _)| w == wrong).unwrap().1;
+                let m = (1u64 << counterexample.len()) - 1;
+                assert_ne!(
+                    Machine::run_bools(program, &counterexample).unwrap(),
+                    source.evaluate(m)
+                );
+            }
+        }
+        let good = [("array", &array), ("plim", &plim)];
+        let outcome = verify_programs(&source, &good, VerifyMode::Auto, 7, &CancelToken::default());
+        assert!(
+            matches!(outcome, Ok(VerifyOutcome::Proved { .. })),
+            "{outcome:?}"
+        );
+    }
+
+    /// A SAT model on which no program differs from the netlist is an
+    /// error, never a pass.
+    #[test]
+    fn sat_model_that_replays_nowhere_is_an_error() {
+        use rms_core::{Mig, Realization};
+        let source = and_all(false);
+        let program =
+            rms_rram::compile::compile(&Mig::from_netlist(&source), Realization::Maj).program;
+        let result = sat_failure(&source, &[("array", &program)], vec![true; 18]);
+        match result {
+            Err(FlowError::Verification(msg)) => {
+                assert!(msg.contains("does not replay on any program"), "{msg}")
+            }
+            other => panic!("expected a verification error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //!    variable, six prime-implicant clauses per MAJ — no AND/OR
 //!    expansion);
 //! 3. [`miter`] — equivalence problems over shared inputs: netlist vs.
-//!    netlist and netlist vs. compiled RRAM [`rms_rram::isa::Program`]
-//!    (array or PLiM), where UNSAT *proves* equivalence at any width and
-//!    a model is a concrete counterexample assignment.
+//!    netlist and netlist vs. compiled RRAM [`rms_rram::isa::Program`]s
+//!    (array and PLiM, all in one miter), where UNSAT *proves*
+//!    equivalence at any width and a model is a concrete counterexample
+//!    assignment.
 //!
 //! `rms-flow` builds its tiered verification policy (exhaustive / SAT
 //! proof / opt-out sampling) on [`check_netlists`] and
-//! [`check_netlist_vs_program`]; the differential test harness uses the
+//! [`check_netlist_vs_programs`]; the differential test harness uses the
 //! same entry points to prove all optimization algorithms agree on
 //! random netlists. See `ARCHITECTURE.md` for the policy and encoding
 //! details.
@@ -58,9 +59,8 @@ pub mod tseitin;
 
 pub use lit::{Lit, Var};
 pub use miter::{
-    check_netlist_vs_program, check_netlist_vs_program_cancellable,
-    check_netlist_vs_program_limited, check_netlists, check_netlists_cancellable,
-    check_netlists_limited, Miter, MiterError, MiterOutcome,
+    check_netlist_vs_programs, check_netlists, check_netlists_cancellable, check_netlists_limited,
+    Miter, MiterError, MiterOutcome,
 };
 pub use solver::{SatResult, Solver, SolverStats};
 pub use tseitin::Encoder;

@@ -361,56 +361,44 @@ pub fn check_netlists_cancellable(
     miter.prove_limited(&oa, &ob, max_conflicts)
 }
 
-/// Proves a compiled RRAM program equivalent to its specification
-/// netlist.
+/// Proves every compiled RRAM program equivalent to its specification
+/// netlist with **one** miter. The netlist is encoded once, every program
+/// is symbolically executed into the same encoder, and one disjunction of
+/// every `netlist output ≠ program output` difference is solved.
+///
+/// Programs compiled from one MIG reduce, under the encoder's structural
+/// hashing, to that MIG's output literals, so the hard question (is the
+/// optimized circuit equivalent to the source?) is solved once rather than
+/// once per program. `Ok(None)` when `max_conflicts` ran out or `cancel`
+/// fired without an answer (same contract as
+/// [`check_netlists_cancellable`]); a counterexample differs from the
+/// netlist on at least one of the programs.
 ///
 /// # Errors
 ///
 /// Returns [`MiterError`] on arity mismatches or an invalid program.
-pub fn check_netlist_vs_program(
+pub fn check_netlist_vs_programs(
     nl: &Netlist,
-    program: &Program,
-) -> Result<MiterOutcome, MiterError> {
-    Ok(check_netlist_vs_program_limited(nl, program, None)?
-        .expect("unlimited proof always answers"))
-}
-
-/// Budgeted form of [`check_netlist_vs_program`]: `Ok(None)` when
-/// `max_conflicts` ran out without an answer.
-///
-/// # Errors
-///
-/// Returns [`MiterError`] on arity mismatches or an invalid program.
-pub fn check_netlist_vs_program_limited(
-    nl: &Netlist,
-    program: &Program,
-    max_conflicts: Option<u64>,
-) -> Result<Option<MiterOutcome>, MiterError> {
-    check_netlist_vs_program_cancellable(
-        nl,
-        program,
-        max_conflicts,
-        &rms_core::CancelToken::default(),
-    )
-}
-
-/// [`check_netlist_vs_program_limited`] with a cancellation token (same
-/// contract as [`check_netlists_cancellable`]).
-///
-/// # Errors
-///
-/// Returns [`MiterError`] on arity mismatches or an invalid program.
-pub fn check_netlist_vs_program_cancellable(
-    nl: &Netlist,
-    program: &Program,
+    programs: &[&Program],
     max_conflicts: Option<u64>,
     cancel: &rms_core::CancelToken,
 ) -> Result<Option<MiterOutcome>, MiterError> {
     let mut miter = Miter::new(nl.num_inputs());
     miter.set_cancel(cancel.clone());
     let on = miter.add_netlist(nl)?;
-    let op = miter.add_program(program)?;
-    miter.prove_limited(&on, &op, max_conflicts)
+    let (mut specs, mut impls) = (Vec::new(), Vec::new());
+    for program in programs {
+        let op = miter.add_program(program)?;
+        if op.len() != on.len() {
+            return Err(MiterError::OutputCountMismatch {
+                a: on.len(),
+                b: op.len(),
+            });
+        }
+        specs.extend_from_slice(&on);
+        impls.extend(op);
+    }
+    miter.prove_limited(&specs, &impls, max_conflicts)
 }
 
 #[cfg(test)]
@@ -486,20 +474,32 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn program_miter_matches_machine_semantics() {
-        use rms_rram::gates::{imp_majority_gate, maj_majority_gate};
-        // Both hand-written majority-gate programs implement MAJ(a,b,c);
-        // check each against a majority netlist.
+    /// `check_netlist_vs_programs` with no budget and an inert token.
+    fn check_programs(nl: &Netlist, programs: &[&Program]) -> MiterOutcome {
+        check_netlist_vs_programs(nl, programs, None, &rms_core::CancelToken::default())
+            .unwrap()
+            .expect("unlimited proof always answers")
+    }
+
+    fn maj3_spec() -> Netlist {
         let mut b = NetlistBuilder::new("maj");
         let x = b.input("a");
         let y = b.input("b");
         let z = b.input("c");
         let m = b.maj(x, y, z);
         b.output("f", m);
-        let spec = b.build();
-        for program in [imp_majority_gate(), maj_majority_gate()] {
-            let out = check_netlist_vs_program(&spec, &program).unwrap();
+        b.build()
+    }
+
+    #[test]
+    fn program_miter_matches_machine_semantics() {
+        use rms_rram::gates::{imp_majority_gate, maj_majority_gate};
+        // Both hand-written majority-gate programs implement MAJ(a,b,c);
+        // check each against a majority netlist, then both in one miter.
+        let spec = maj3_spec();
+        let (imp, maj) = (imp_majority_gate(), maj_majority_gate());
+        for programs in [&[&imp][..], &[&maj], &[&imp, &maj]] {
+            let out = check_programs(&spec, programs);
             assert!(out.is_equivalent(), "{out:?}");
         }
     }
@@ -515,7 +515,70 @@ mod tests {
         let m2 = b.and(m, z);
         b.output("f", m2);
         let spec = b.build();
-        let out = check_netlist_vs_program(&spec, &maj_majority_gate()).unwrap();
+        let out = check_programs(&spec, &[&maj_majority_gate()]);
         assert!(!out.is_equivalent(), "AND3 != MAJ3");
+    }
+
+    /// One correct and one wrong majority program in a joint miter: the
+    /// model must tell the wrong program from the netlist, whichever
+    /// position it takes.
+    #[test]
+    fn joint_miter_catches_one_wrong_program() {
+        use rms_rram::gates::maj_majority_gate;
+        use rms_rram::machine::Machine;
+        let spec = maj3_spec();
+        let good = maj_majority_gate();
+        // Clearing the output device after the last step makes the
+        // program constant false.
+        let mut bad = good.clone();
+        let dst = bad.outputs[0].1;
+        bad.steps.push(vec![MicroOp::False { dst }]);
+        for programs in [[&good, &bad], [&bad, &good]] {
+            match check_programs(&spec, &programs) {
+                MiterOutcome::Counterexample { inputs } => {
+                    let m = inputs
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i));
+                    let got = Machine::run_bools(&bad, &inputs).unwrap();
+                    assert_ne!(spec.evaluate(m), got, "inputs {inputs:?}");
+                }
+                other => panic!("expected counterexample, got {other:?}"),
+            }
+        }
+    }
+
+    /// The joint miter is fast because the MAJ array and the PLiM program
+    /// compiled from one MIG symbolically execute to exactly that MIG's
+    /// output literals, so source vs. MIG is the only question the solver
+    /// has to answer. If a compiler change breaks this sharing, every
+    /// program adds its own copy of that question and the SAT verification
+    /// tier slows down without failing anything else.
+    #[test]
+    fn compiled_programs_strash_to_the_mig_outputs() {
+        use rms_core::opt::{optimize_rram, OptOptions};
+        use rms_core::{Mig, Realization};
+        use rms_rram::compile::compile;
+        use rms_rram::plim::compile_plim;
+        for name in ["misex1", "clip", "cm163a", "rd53_f2", "t481_d"] {
+            let source = rms_logic::bench_suite::build(name).unwrap();
+            let mig = optimize_rram(
+                &Mig::from_netlist(&source),
+                Realization::Maj,
+                &OptOptions::with_effort(4),
+            );
+            let mut miter = Miter::new(source.num_inputs());
+            let want = miter.add_netlist(&mig.to_netlist()).unwrap();
+            let array = compile(&mig, Realization::Maj).program;
+            let plim = compile_plim(&mig).program;
+            for (what, program) in [("MAJ array", &array), ("PLiM", &plim)] {
+                let got = miter.add_program(program).unwrap();
+                assert_eq!(
+                    got, want,
+                    "{name}: the {what} program no longer reduces to the MIG's \
+                     output literals under structural hashing"
+                );
+            }
+        }
     }
 }
