@@ -7,7 +7,7 @@
 //! | Tier | When | Guarantee |
 //! |---|---|---|
 //! | exhaustive | `n ≤ 14` inputs (under [`VerifyMode::Auto`]) | all `2^n` minterms simulated |
-//! | SAT proof | `n > 14`, or forced with [`VerifyMode::Sat`] | one miter per job (source vs. every program) refuted by the `rms-sat` CDCL solver — a proof at any width |
+//! | SAT proof | `n > 14`, or forced with [`VerifyMode::Sat`] | one miter per job (source vs. every program), swept bottom-up and refuted by the `rms-sat` CDCL solver — a proof at any width |
 //! | sampled | explicit [`VerifyMode::Sampled`] opt-out only | 64 random 64-bit pattern words — evidence, not proof |
 //!
 //! Historically the pipeline silently degraded to sampling above the
@@ -50,7 +50,9 @@ pub const PRE_SAT_SPOT_WORDS: usize = 4;
 
 /// Conflict budget of the SAT tier, per job: the source netlist and every
 /// compiled program share one miter, so this bounds the whole proof, not
-/// each program. Every bundled benchmark proves well under this, but
+/// each program. It covers the miter's SAT sweep (the internal
+/// equivalences proved first) and the final output solve together.
+/// Every bundled benchmark proves well under this, but
 /// user-supplied circuits can be adversarial for any SAT solver
 /// (a 32-input multiplier miter is exponentially hard), so the proof
 /// attempt is bounded: under [`VerifyMode::Auto`] an exhausted budget
@@ -107,9 +109,9 @@ pub enum VerifyOutcome {
     Exhaustive,
     /// A SAT miter was refuted: equivalence is *proved* at full width.
     Proved {
-        /// Conflicts over all refutations of the run.
+        /// Conflicts of the proof: the miter's sweep and its final solve.
         conflicts: u64,
-        /// Branching decisions over all refutations of the run.
+        /// Branching decisions of the proof: sweep and final solve.
         decisions: u64,
     },
     /// Random patterns matched (explicit opt-out — not a proof).

@@ -18,7 +18,8 @@
 //!    netlist and netlist vs. compiled RRAM [`rms_rram::isa::Program`]s
 //!    (array and PLiM, all in one miter), where UNSAT *proves*
 //!    equivalence at any width and a model is a concrete counterexample
-//!    assignment.
+//!    assignment. Internal equivalences are proved bottom-up by SAT
+//!    sweeping on the miter's own solver before the outputs are asked.
 //!
 //! `rms-flow` builds its tiered verification policy (exhaustive / SAT
 //! proof / opt-out sampling) on [`check_netlists`] and

@@ -17,6 +17,36 @@
 //!   literal, reading the pre-step state exactly like the cycle-accurate
 //!   machine does.
 //!
+//! # SAT sweeping
+//!
+//! [`Miter::prove_limited`] does not hand the solver the output miter
+//! straight away. Two versions of one circuit share most of their
+//! internal functions, and one monolithic refutation has to rediscover
+//! each of them by search. So it first proves them bottom-up on the same
+//! solver, in the style of ABC's `cec` (Mishchenko et al., "Improvements
+//! to combinational equivalence checking", ICCAD'06):
+//!
+//! 1. every encoded gate is simulated on 256 random patterns from a
+//!    fixed seed, in creation order, which is topological;
+//! 2. variables are bucketed into candidate classes by their simulation
+//!    words, up to complement;
+//! 3. each candidate is proved against its class representative (the
+//!    first variable of the class) with two assumption solves,
+//!    `z ∧ ¬r` and `¬z ∧ r`, under a small per-pair conflict cap. The
+//!    variables of the two gate levels below each side are bumped in the
+//!    branching order first, so the search stays near the pair;
+//! 4. each proved half becomes a binary clause. A refuted pair's model
+//!    becomes a new simulation pattern that splits its class in the next
+//!    round. A pair that reaches the cap stays unmerged, which is sound;
+//! 5. output pairs proved equal fold away, and the disjunction of the
+//!    remaining output differences is solved as the final question.
+//!
+//! Every added clause is a proved consequence of the circuit clauses, so
+//! a final model is still a real counterexample. The conflict budget
+//! covers the sweep and the final solve together, and a cancelled token
+//! stops the sweep before its next pair proof. The order is fixed, so the
+//! reported conflicts and decisions are deterministic.
+//!
 //! # Example
 //!
 //! ```
@@ -41,12 +71,31 @@
 //! }
 //! ```
 
-use crate::lit::Lit;
+use crate::lit::{Lit, Var};
 use crate::solver::SatResult;
-use crate::tseitin::Encoder;
+use crate::tseitin::{Encoder, GateKey};
+use rms_core::hash::{FxHashMap, FxHasher};
 use rms_logic::netlist::{GateKind, Netlist, Wire};
+use rms_logic::rng::SplitMix64;
 use rms_rram::isa::{MicroOp, Operand, Program, ProgramError};
 use std::fmt;
+use std::hash::Hasher;
+
+/// Random 64-lane simulation words per variable that seed the sweep's
+/// candidate classes.
+const SWEEP_WORDS: usize = 4;
+
+/// Conflict cap of one candidate-pair proof. A pair that reaches it
+/// stays unmerged, which is sound: the final miter just does not get
+/// that equivalence for free.
+const SWEEP_PAIR_CONFLICTS: u64 = 1000;
+
+/// Gate levels below each side of a candidate pair whose variables are
+/// bumped in the solver's branching order before the pair is proved.
+const SWEEP_BUMP_LEVELS: usize = 2;
+
+/// Fixed seed of the sweep's random simulation.
+const SWEEP_SEED: u64 = 0x5eed_c0de_c0de_5eed;
 
 /// Outcome of an equivalence proof attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,6 +172,7 @@ impl From<ProgramError> for MiterError {
 pub struct Miter {
     enc: Encoder,
     inputs: Vec<Lit>,
+    cancel: rms_core::CancelToken,
 }
 
 impl Miter {
@@ -130,7 +180,11 @@ impl Miter {
     pub fn new(num_inputs: usize) -> Self {
         let mut enc = Encoder::new();
         let inputs = (0..num_inputs).map(|_| enc.fresh()).collect();
-        Miter { enc, inputs }
+        Miter {
+            enc,
+            inputs,
+            cancel: rms_core::CancelToken::default(),
+        }
     }
 
     /// The shared primary-input literals.
@@ -144,11 +198,13 @@ impl Miter {
     }
 
     /// Attaches a cooperative-cancellation token: a cancelled token makes
-    /// [`Miter::prove_limited`] return `Ok(None)` at the next solver
-    /// restart boundary, exactly like budget exhaustion. Callers tell the
-    /// two apart by checking the token afterwards.
+    /// [`Miter::prove_limited`] return `Ok(None)` before its next
+    /// candidate-pair proof or at the next solver restart boundary,
+    /// exactly like budget exhaustion. Callers tell the two apart by
+    /// checking the token afterwards.
     pub fn set_cancel(&mut self, cancel: rms_core::CancelToken) {
-        self.enc.set_cancel(cancel);
+        self.enc.set_cancel(cancel.clone());
+        self.cancel = cancel;
     }
 
     /// Encodes a netlist over the shared inputs; returns its output
@@ -258,7 +314,8 @@ impl Miter {
     /// Like [`Miter::prove`] with a conflict budget: `Ok(None)` means
     /// the solver ran out of budget with no answer (the caller should
     /// fall back to a weaker check rather than hang on an adversarial
-    /// instance).
+    /// instance). The budget covers the sweep and the final solve
+    /// together.
     ///
     /// # Errors
     ///
@@ -276,14 +333,23 @@ impl Miter {
                 b: b.len(),
             });
         }
+        // Conflicts still in the budget, shared by the sweep and the
+        // final solve.
+        let start = self.enc.stats().conflicts;
+        let left =
+            |enc: &Encoder| max_conflicts.map(|m| m.saturating_sub(enc.stats().conflicts - start));
+        let Some(repr) = self.sweep(left) else {
+            return Ok(None);
+        };
+        // Output pairs the sweep proved equal fold to constant false.
         let diffs: Vec<Lit> = a
             .iter()
             .zip(b)
-            .map(|(&la, &lb)| self.enc.xor(la, lb))
+            .map(|(&la, &lb)| self.enc.xor(resolve(&repr, la), resolve(&repr, lb)))
             .collect();
         let any = self.enc.or_many(&diffs);
         self.enc.assert_true(any);
-        match self.enc.solve_limited(max_conflicts) {
+        match self.enc.solve_limited(left(&self.enc)) {
             None => Ok(None),
             Some(SatResult::Unsat) => {
                 let stats = self.enc.stats();
@@ -296,6 +362,167 @@ impl Miter {
                 inputs: self.inputs.iter().map(|&l| self.enc.value(l)).collect(),
             })),
         }
+    }
+
+    /// Proves internal equivalences bottom-up before the output miter is
+    /// asked (SAT sweeping). Simulation buckets every variable into
+    /// candidate classes up to complement; each candidate is proved
+    /// against its class representative, the first variable of its class
+    /// in creation order, by two assumption solves on this miter's own
+    /// solver. A proved pair becomes two binary clauses, which makes the
+    /// proofs above it and the final miter easy. A refuted pair's model
+    /// becomes a simulation lane that splits the classes in the next
+    /// round. Rounds end when one refutes nothing.
+    ///
+    /// `left` reads the conflicts still in the budget. Returns each
+    /// variable's proved-equal literal of an earlier variable (itself
+    /// when unmerged; see [`resolve`]), or `None` when the budget ran out
+    /// or the token was cancelled.
+    fn sweep(&mut self, left: impl Fn(&Encoder) -> Option<u64>) -> Option<Vec<Lit>> {
+        let num_vars = self.enc.num_vars();
+        let true_var = self.enc.true_lit().var().index();
+        let mut rng = SplitMix64::new(SWEEP_SEED);
+        // words[w][v]: simulation lane word `w` of variable `v`.
+        let mut words: Vec<Vec<u64>> = (0..SWEEP_WORDS)
+            .map(|_| {
+                let mut word: Vec<u64> = (0..num_vars).map(|_| rng.next_u64()).collect();
+                word[true_var] = u64::MAX;
+                for &(z, key) in self.enc.gates() {
+                    word[z.var().index()] = key.simulate(|l| lit_word(&word, l));
+                }
+                word
+            })
+            .collect();
+        let mut gate_of: Vec<Option<GateKey>> = vec![None; num_vars];
+        for &(z, key) in self.enc.gates() {
+            gate_of[z.var().index()] = Some(key);
+        }
+        let mut repr: Vec<Lit> = (0..num_vars)
+            .map(|v| Lit::positive(Var(v as u32)))
+            .collect();
+        // Variables merged into, or given up against, a representative.
+        let mut done = vec![false; num_vars];
+        loop {
+            let mut reps: FxHashMap<u64, Lit> = FxHashMap::default();
+            // This round's counterexamples, 64 lanes per word, over every
+            // variable (a model assigns them all). Lanes not yet filled
+            // repeat lane 0, so a word is a valid pattern set at any time.
+            let mut cex: Vec<Vec<u64>> = Vec::new();
+            let mut lanes = 0usize;
+            for v in 0..num_vars {
+                if done[v] {
+                    continue;
+                }
+                // Normalize so lane 0 reads false: `f` and `!f` share a class.
+                let z = Lit::new(Var(v as u32), words[0][v] & 1 == 1);
+                let mut h = FxHasher::default();
+                for word in &words {
+                    h.write_u64(lit_word(word, z));
+                }
+                let r = *reps.entry(h.finish()).or_insert(z);
+                if r == z
+                    || cex
+                        .iter()
+                        .any(|word| lit_word(word, z) != lit_word(word, r))
+                {
+                    continue; // a representative, or already told apart this round
+                }
+                let (mut merged, mut refuted) = (0, false);
+                // Branch near the pair first: after the assumptions, the
+                // solver's next decisions fall in the two gate levels
+                // below each side instead of on stale, distant variables.
+                for l in [z, r] {
+                    self.bump_fanin(&gate_of, l, SWEEP_BUMP_LEVELS);
+                }
+                for (p, q) in [(z, !r), (!z, r)] {
+                    if self.cancel.cancelled() {
+                        return None;
+                    }
+                    let cap = left(&self.enc)
+                        .map_or(SWEEP_PAIR_CONFLICTS, |l| l.min(SWEEP_PAIR_CONFLICTS));
+                    match self.enc.solve_under(&[p, q], Some(cap)) {
+                        Some(SatResult::Unsat) => {
+                            self.enc.solver_mut().add_clause(&[!p, !q]);
+                            merged += 1;
+                        }
+                        Some(SatResult::Sat) => {
+                            let lane = lanes % 64;
+                            if lane == 0 {
+                                cex.push(vec![0; num_vars]);
+                            }
+                            let word = cex.last_mut().expect("pushed at lane 0");
+                            self.record_model(word, lane);
+                            lanes += 1;
+                            refuted = true;
+                            break;
+                        }
+                        None if self.cancel.cancelled() || left(&self.enc) == Some(0) => {
+                            return None;
+                        }
+                        None => break,
+                    }
+                }
+                if merged == 2 {
+                    // `z` is variable `v` up to its lane-0 phase.
+                    repr[v] = if z.is_negated() { !r } else { r };
+                }
+                // Merged, or given up at the pair cap: never a candidate
+                // again. A refuted candidate is re-bucketed next round.
+                done[v] = !refuted;
+            }
+            if cex.is_empty() {
+                return Some(repr);
+            }
+            words.extend(cex);
+        }
+    }
+
+    /// Bumps the solver activity of the variables up to `levels` gate
+    /// levels below `lit`.
+    fn bump_fanin(&mut self, gate_of: &[Option<GateKey>], lit: Lit, levels: usize) {
+        let Some(key) = gate_of[lit.var().index()].filter(|_| levels > 0) else {
+            return;
+        };
+        for operand in key.operands() {
+            self.enc.solver_mut().bump(operand.var());
+            self.bump_fanin(gate_of, operand, levels - 1);
+        }
+    }
+
+    /// Writes the current model's value of every variable into lane
+    /// `lane` of `word`; lane 0 fills the whole word.
+    fn record_model(&self, word: &mut [u64], lane: usize) {
+        for (v, w) in word.iter_mut().enumerate() {
+            let value = self.enc.value(Lit::positive(Var(v as u32)));
+            *w = match (lane, value) {
+                (0, true) => !0,
+                (0, false) => 0,
+                (_, true) => *w | 1 << lane,
+                (_, false) => *w & !(1 << lane),
+            };
+        }
+    }
+}
+
+/// The literal of the earliest variable proved equal to `lit`, following
+/// the sweep's merge chains (each step goes to an earlier variable).
+fn resolve(repr: &[Lit], mut lit: Lit) -> Lit {
+    loop {
+        let r = repr[lit.var().index()];
+        if r.var() == lit.var() {
+            return lit;
+        }
+        lit = if lit.is_negated() { !r } else { r };
+    }
+}
+
+/// The simulation word of `lit`, given each variable's word.
+fn lit_word(words: &[u64], lit: Lit) -> u64 {
+    let w = words[lit.var().index()];
+    if lit.is_negated() {
+        !w
+    } else {
+        w
     }
 }
 

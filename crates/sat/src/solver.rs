@@ -287,7 +287,7 @@ impl Solver {
         None
     }
 
-    fn bump(&mut self, v: Var) {
+    pub(crate) fn bump(&mut self, v: Var) {
         let a = &mut self.activity[v.index()];
         *a += self.var_inc;
         if *a > 1e100 {
@@ -423,6 +423,23 @@ impl Solver {
     /// search backtracks to the root and can be resumed by calling
     /// again — learned clauses are kept, so progress is not lost).
     pub fn solve_limited(&mut self, max_conflicts: Option<u64>) -> Option<SatResult> {
+        self.solve_under(&[], max_conflicts)
+    }
+
+    /// [`Solver::solve_limited`] under `assumptions`: literals decided,
+    /// in order, before any branching. `Unsat` means the clause set
+    /// implies that some assumption is false; unlike a root-level
+    /// refutation it leaves the solver reusable, and the conflicts it
+    /// learned are consequences of the clauses alone, so they are kept.
+    /// A `Sat` model satisfies every assumption.
+    pub(crate) fn solve_under(
+        &mut self,
+        assumptions: &[Lit],
+        max_conflicts: Option<u64>,
+    ) -> Option<SatResult> {
+        // Start from the root: a previous `Sat` answer leaves its model
+        // (and its assumption levels) on the trail.
+        self.backtrack(0);
         if self.root_unsat {
             return Some(SatResult::Unsat);
         }
@@ -466,6 +483,21 @@ impl Solver {
                     // the root, so abandoning here loses nothing.
                     if self.cancel.cancelled() {
                         return None;
+                    }
+                }
+            } else if let Some(&p) = assumptions.get(self.decision_level()) {
+                // Assumption `i` owns decision level `i + 1`; one that
+                // already holds gets an empty level, and one that is
+                // already false refutes the assumptions (not the root).
+                match self.lit_state(p) {
+                    1 => self.trail_lim.push(self.trail.len()),
+                    -1 => {
+                        self.backtrack(0);
+                        return Some(SatResult::Unsat);
+                    }
+                    _ => {
+                        self.trail_lim.push(self.trail.len());
+                        self.enqueue(p, NO_REASON);
                     }
                 }
             } else if self.trail.len() == self.num_vars() {
@@ -756,5 +788,108 @@ mod tests {
         assert_eq!(s.solve(), SatResult::Sat);
         assert!(s.stats().decisions > 0);
         assert!(s.stats().propagations > 0);
+    }
+
+    /// php(`holes + 1`, `holes`) with every clause guarded by `!g`: the
+    /// instance is Sat (set `g`), but Unsat under the assumption `!g`,
+    /// which needs real conflicts to show.
+    fn guarded_pigeonhole(s: &mut Solver, holes: usize) -> Lit {
+        let g = Lit::positive(s.new_var());
+        let p: Vec<Vec<Lit>> = (0..=holes)
+            .map(|_| (0..holes).map(|_| Lit::positive(s.new_var())).collect())
+            .collect();
+        for row in &p {
+            let mut c = row.clone();
+            c.push(g);
+            s.add_clause(&c);
+        }
+        for a in 0..=holes {
+            for b in (a + 1)..=holes {
+                for (&la, &lb) in p[a].iter().zip(&p[b]) {
+                    s.add_clause(&[!la, !lb, g]);
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn unsat_under_assumptions_leaves_the_solver_reusable() {
+        let mut s = Solver::new();
+        let g = guarded_pigeonhole(&mut s, 4);
+        assert_eq!(s.solve_under(&[!g], None), Some(SatResult::Unsat));
+        assert!(s.stats().conflicts > 0, "the refutation needs search");
+        assert!(!s.root_unsat, "an assumption refutation is not a root one");
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert!(s.value(g));
+        // Asked again, the assumption is still refuted (now with the
+        // learned clauses), and the plain instance still answers Sat.
+        assert_eq!(s.solve_under(&[!g], None), Some(SatResult::Unsat));
+        assert_eq!(s.solve_limited(Some(0)), Some(SatResult::Sat));
+    }
+
+    #[test]
+    fn assumption_false_at_the_root_is_refuted() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 3);
+        s.add_clause(&[!v[0]]);
+        s.add_clause(&[v[1], v[2]]);
+        assert_eq!(s.solve_under(&[v[1], v[0]], None), Some(SatResult::Unsat));
+        assert_eq!(s.stats().conflicts, 0, "no search was needed");
+        assert_eq!(s.solve_under(&[v[1]], None), Some(SatResult::Sat));
+        assert!(s.value(v[1]) && !s.value(v[0]));
+    }
+
+    #[test]
+    fn complementary_assumptions_are_refuted() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 2);
+        s.add_clause(&[v[0], v[1]]);
+        assert_eq!(s.solve_under(&[v[0], !v[0]], None), Some(SatResult::Unsat));
+        assert_eq!(s.solve_under(&[!v[1], v[1]], None), Some(SatResult::Unsat));
+        assert_eq!(s.solve(), SatResult::Sat);
+    }
+
+    #[test]
+    fn models_honour_the_assumptions() {
+        // x0 | x1 | ... | x7 with pairwise exclusions: exactly one true.
+        let mut s = Solver::new();
+        let v = lits(&mut s, 8);
+        s.add_clause(&v);
+        for i in 0..v.len() {
+            for j in (i + 1)..v.len() {
+                s.add_clause(&[!v[i], !v[j]]);
+            }
+        }
+        for (i, &x) in v.iter().enumerate() {
+            let others: Vec<Lit> = v.iter().filter(|&&y| y != x).map(|&y| !y).collect();
+            assert_eq!(s.solve_under(&others, None), Some(SatResult::Sat));
+            assert!(s.value(x), "x{i} is the only one left");
+            assert_eq!(
+                s.solve_under(&[x, v[(i + 1) % 8]], None),
+                Some(SatResult::Unsat)
+            );
+        }
+        // An already-true assumption (a root unit) is just an empty level.
+        s.add_clause(&[v[3]]);
+        assert_eq!(s.solve_under(&[v[3], !v[5]], None), Some(SatResult::Sat));
+        assert!(s.value(v[3]) && !s.value(v[5]));
+    }
+
+    #[test]
+    fn assumption_solves_are_deterministic() {
+        let run = || {
+            let mut s = Solver::new();
+            let g = guarded_pigeonhole(&mut s, 4);
+            let first = s.solve_under(&[!g], Some(5));
+            let second = s.solve_under(&[!g], None);
+            let third = s.solve_under(&[g], None);
+            (first, second, third, s.stats())
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a, b);
+        assert_eq!(a.0, None, "5 conflicts do not refute php(5,4)");
+        assert_eq!(a.1, Some(SatResult::Unsat));
+        assert_eq!(a.2, Some(SatResult::Sat));
     }
 }

@@ -42,11 +42,39 @@ use rms_core::hash::FxHashMap;
 
 /// A structurally-hashed gate key (operands already canonicalized).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum GateKey {
+pub(crate) enum GateKey {
     And(Lit, Lit),
     Xor(Lit, Lit),
     Maj(Lit, Lit, Lit),
     Mux(Lit, Lit, Lit),
+}
+
+impl GateKey {
+    /// The operand literals.
+    pub(crate) fn operands(self) -> impl Iterator<Item = Lit> {
+        let (lits, arity) = match self {
+            GateKey::And(x, y) | GateKey::Xor(x, y) => ([x, y, y], 2),
+            GateKey::Maj(x, y, z) | GateKey::Mux(x, y, z) => ([x, y, z], 3),
+        };
+        lits.into_iter().take(arity)
+    }
+
+    /// The gate's output word, given each operand literal's 64-lane
+    /// simulation word.
+    pub(crate) fn simulate(self, word: impl Fn(Lit) -> u64) -> u64 {
+        match self {
+            GateKey::And(x, y) => word(x) & word(y),
+            GateKey::Xor(x, y) => word(x) ^ word(y),
+            GateKey::Maj(x, y, z) => {
+                let (x, y, z) = (word(x), word(y), word(z));
+                (x & y) | (x & z) | (y & z)
+            }
+            GateKey::Mux(s, t, e) => {
+                let s = word(s);
+                (s & word(t)) | (!s & word(e))
+            }
+        }
+    }
 }
 
 /// CNF builder over a [`Solver`].
@@ -55,6 +83,10 @@ pub struct Encoder {
     solver: Solver,
     true_lit: Lit,
     cache: FxHashMap<GateKey, Lit>,
+    /// Every encoded gate with its (positive) output literal, in creation
+    /// order. Operands exist before the gate that reads them, so the log
+    /// is topological.
+    gates: Vec<(Lit, GateKey)>,
 }
 
 impl Default for Encoder {
@@ -73,6 +105,7 @@ impl Encoder {
             solver,
             true_lit,
             cache: FxHashMap::default(),
+            gates: Vec::new(),
         }
     }
 
@@ -120,7 +153,13 @@ impl Encoder {
             self.solver.add_clause(&clause);
         }
         self.cache.insert(key, z);
+        self.gates.push((z, key));
         z
+    }
+
+    /// The gate log: every encoded gate in creation (topological) order.
+    pub(crate) fn gates(&self) -> &[(Lit, GateKey)] {
+        &self.gates
     }
 
     /// `a ∧ b`.
@@ -341,6 +380,15 @@ impl Encoder {
     /// (see [`Solver::solve_limited`]).
     pub fn solve_limited(&mut self, max_conflicts: Option<u64>) -> Option<SatResult> {
         self.solver.solve_limited(max_conflicts)
+    }
+
+    /// Solves under assumptions (see [`Solver::solve_under`]).
+    pub(crate) fn solve_under(
+        &mut self,
+        assumptions: &[Lit],
+        max_conflicts: Option<u64>,
+    ) -> Option<SatResult> {
+        self.solver.solve_under(assumptions, max_conflicts)
     }
 
     /// Model value of `lit` after a [`SatResult::Sat`] answer.

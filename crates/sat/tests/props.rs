@@ -1,11 +1,16 @@
 //! Property tests for the CDCL solver: random 3-CNF instances are
 //! cross-checked against a naive DPLL reference on small variable
 //! counts, models are validated directly, and known-UNSAT families
-//! (pigeonhole, miters of equivalent circuits) must be refuted.
+//! (pigeonhole, miters of equivalent circuits) must be refuted. The
+//! swept miter is checked against exhaustive truth tables.
 
+use rms_logic::netlist::{GateKind, Netlist, Wire};
 use rms_logic::rng::SplitMix64;
 use rms_logic::NetlistBuilder;
-use rms_sat::{check_netlists, Lit, MiterOutcome, SatResult, Solver};
+use rms_sat::{
+    check_netlists, check_netlists_cancellable, check_netlists_limited, Lit, MiterOutcome,
+    SatResult, Solver,
+};
 
 /// A naive DPLL decision procedure with unit propagation — slow but
 /// obviously correct, used as the reference oracle.
@@ -320,4 +325,156 @@ fn miter_counterexamples_distinguish_the_netlists_when_replayed() {
         }
     }
     assert!(cexes >= 10, "only {cexes}/25 random pairs produced a CEX");
+}
+
+/// Rebuilds `nl` gate by gate through equivalent but structurally
+/// different forms (De Morgan, XOR and MUX as sums of products, MAJ
+/// factored), so a miter against `nl` has many internal equivalences for
+/// the sweep to find. `mutate` replaces that gate's function with a
+/// different one.
+fn rewrite(nl: &Netlist, mutate: Option<usize>) -> Netlist {
+    let mut b = NetlistBuilder::new("rewritten");
+    let mut vals: Vec<Wire> = vec![b.const0()];
+    for name in nl.input_names() {
+        vals.push(b.input(name.clone()));
+    }
+    let wire = |vals: &[Wire], w: Wire| {
+        let v = vals[w.node()];
+        if w.is_complemented() {
+            v.complement()
+        } else {
+            v
+        }
+    };
+    for (k, (_, gate)) in nl.gates().enumerate() {
+        let f: Vec<Wire> = gate.fanins.iter().map(|&w| wire(&vals, w)).collect();
+        let z = if mutate == Some(k) {
+            match gate.kind {
+                GateKind::And => b.or(f[0], f[1]),
+                GateKind::Or => b.xor(f[0], f[1]),
+                GateKind::Xor => b.and(f[0], f[1]),
+                GateKind::Maj => b.maj(b.not(f[0]), f[1], f[2]),
+                GateKind::Mux => b.mux(f[0], f[2], f[1]),
+            }
+        } else {
+            match gate.kind {
+                GateKind::And => {
+                    let o = b.or(b.not(f[0]), b.not(f[1]));
+                    b.not(o)
+                }
+                GateKind::Or => {
+                    let a = b.and(b.not(f[0]), b.not(f[1]));
+                    b.not(a)
+                }
+                GateKind::Xor => {
+                    let l = b.and(f[0], b.not(f[1]));
+                    let r = b.and(b.not(f[0]), f[1]);
+                    b.or(l, r)
+                }
+                GateKind::Maj => {
+                    let ab = b.and(f[0], f[1]);
+                    let aob = b.or(f[0], f[1]);
+                    let c = b.and(f[2], aob);
+                    b.or(ab, c)
+                }
+                GateKind::Mux => {
+                    let t = b.and(f[0], f[1]);
+                    let e = b.and(b.not(f[0]), f[2]);
+                    b.or(t, e)
+                }
+            }
+        };
+        vals.push(z);
+    }
+    for (name, w) in nl.outputs() {
+        let o = wire(&vals, *w);
+        b.output(name.clone(), o);
+    }
+    b.build()
+}
+
+/// The swept miter agrees with exhaustive truth tables on seeded random
+/// circuits of up to 12 inputs: equivalent rewrites prove, and every
+/// single-gate mutation that changes the function yields a
+/// counterexample that really differs under word simulation.
+#[test]
+fn swept_miter_agrees_with_exhaustive_truth_tables() {
+    use rms_logic::random::random_netlist;
+    let (mut proved, mut refuted) = (0usize, 0usize);
+    for seed in 0..24u64 {
+        let inputs = 6 + (seed % 7) as usize;
+        let source = random_netlist("sweep", seed, inputs, 3, 40 + (seed % 5) as usize * 10);
+        let outcome = check_netlists(&source, &rewrite(&source, None)).unwrap();
+        assert!(outcome.is_equivalent(), "seed {seed}: {outcome:?}");
+        proved += 1;
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..3 {
+            let mutant = rewrite(&source, Some(rng.next_index(source.num_gates())));
+            let differs = mutant.truth_tables() != source.truth_tables();
+            match check_netlists(&source, &mutant).unwrap() {
+                MiterOutcome::Equivalent { .. } => {
+                    assert!(
+                        !differs,
+                        "seed {seed}: a different function was proved equal"
+                    )
+                }
+                MiterOutcome::Counterexample { inputs: cex } => {
+                    assert!(differs, "seed {seed}: equal functions got a counterexample");
+                    let word: Vec<u64> = cex.iter().map(|&b| if b { !0 } else { 0 }).collect();
+                    assert_ne!(
+                        source.simulate_words(&word),
+                        mutant.simulate_words(&word),
+                        "seed {seed}: counterexample {cex:?} does not replay"
+                    );
+                    refuted += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(proved, 24);
+    assert!(
+        refuted >= 24,
+        "only {refuted}/72 mutations changed the function"
+    );
+}
+
+/// The token is polled between candidate-pair proofs: a cancelled token
+/// gives up on a miter that has candidates, even an easy one.
+#[test]
+fn cancelled_token_stops_the_sweep() {
+    use rms_logic::random::random_netlist;
+    let source = random_netlist("sweep", 3, 9, 3, 40);
+    let rewritten = rewrite(&source, None);
+    let cancel = rms_core::CancelToken::new();
+    cancel.cancel();
+    assert_eq!(
+        check_netlists_cancellable(&source, &rewritten, None, &cancel),
+        Ok(None)
+    );
+    let inert = rms_core::CancelToken::default();
+    let outcome = check_netlists_cancellable(&source, &rewritten, None, &inert).unwrap();
+    assert!(outcome.is_some_and(|o| o.is_equivalent()));
+}
+
+/// The conflict budget covers the sweep and the final solve together:
+/// one conflict cannot prove table5 against its optimized MIG.
+#[test]
+fn one_conflict_budget_covers_the_sweep() {
+    use rms_core::opt::{optimize_rram, OptOptions};
+    use rms_core::{Mig, Realization};
+    let source = rms_logic::bench_suite::build("table5").unwrap();
+    let optimized = optimize_rram(
+        &Mig::from_netlist(&source),
+        Realization::Maj,
+        &OptOptions::with_effort(4),
+    )
+    .to_netlist();
+    assert_eq!(
+        check_netlists_limited(&source, &optimized, Some(1)),
+        Ok(None)
+    );
+    match check_netlists(&source, &optimized).unwrap() {
+        MiterOutcome::Equivalent { conflicts, .. } => assert!(conflicts > 1, "{conflicts}"),
+        other => panic!("table5 must prove: {other:?}"),
+    }
 }

@@ -7,9 +7,11 @@
 //! JSON (RFC 8259): objects, arrays, strings with escapes (including
 //! `\uXXXX` and surrogate pairs), numbers, booleans, `null`.
 //!
-//! Requests are single-line documents of a few kilobytes, so the parser
-//! optimizes for clarity over throughput; reports flowing the *other*
-//! way never pass through it.
+//! Requests are single-line documents, but an inline BLIF body can make
+//! one 60 KB or more. The parser optimizes for clarity over throughput:
+//! string decoding re-validates the rest of the input for every
+//! character it copies, which is quadratic in the request size. Reports
+//! flowing the *other* way never pass through it.
 //!
 //! # Example
 //!
@@ -416,5 +418,55 @@ mod tests {
         // Duplicate keys: last one wins.
         let v = Value::parse(r#"{"k":1,"k":2}"#).unwrap();
         assert_eq!(v.get("k").and_then(Value::as_u64), Some(2));
+    }
+
+    /// Long strings alternate plain runs (ASCII and multi-byte UTF-8)
+    /// with escapes and surrogate pairs, so every kind of piece meets
+    /// every other at a run boundary.
+    #[test]
+    fn long_strings_decode_across_run_boundaries() {
+        let pieces: [(&str, &str); 9] = [
+            ("abc", "abc"),
+            ("é", "é"),
+            ("日本", "日本"),
+            ("😀", "😀"),
+            ("\\n", "\n"),
+            ("\\u00e9", "é"),
+            ("\\ud83d\\ude00", "😀"),
+            ("\\\"", "\""),
+            ("\\/", "/"),
+        ];
+        let (mut text, mut want) = (String::from("\""), String::new());
+        for i in 0..20_000usize {
+            let (raw, decoded) = pieces[(i * 7 + i / 9) % pieces.len()];
+            text.push_str(raw);
+            want.push_str(decoded);
+        }
+        text.push('"');
+        assert!(text.len() > 60_000, "{}", text.len());
+        assert_eq!(Value::parse(&text).unwrap(), Value::String(want));
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        let err = |text: &str| Value::parse(text).unwrap_err();
+        // A raw control character after a multi-byte run is reported at
+        // its own byte.
+        let e = err(&format!("\"{}\u{1}\"", "é".repeat(1000)));
+        assert_eq!(
+            (e.offset, e.message.as_str()),
+            (2001, "raw control character in string")
+        );
+        let e = err(&format!("\"ab\\n{}\n", "x".repeat(10)));
+        assert_eq!(
+            (e.offset, e.message.as_str()),
+            (15, "raw control character in string")
+        );
+        let e = err(&format!("\"{}", "日".repeat(10)));
+        assert_eq!((e.offset, e.message.as_str()), (31, "unterminated string"));
+        let e = err("\"abc\\");
+        assert_eq!((e.offset, e.message.as_str()), (5, "dangling escape"));
+        let e = err("\"abé\\q\"");
+        assert_eq!((e.offset, e.message.as_str()), (7, "unknown escape \\q"));
     }
 }
